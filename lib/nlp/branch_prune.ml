@@ -1,7 +1,6 @@
 module I = Absolver_numeric.Interval
 module Budget = Absolver_resource.Budget
 module Faults = Absolver_resource.Faults
-module Linexpr = Absolver_lp.Linexpr
 
 type outcome =
   | Sat of float array
@@ -84,31 +83,24 @@ let merge_stats a b =
 
 (* The linear-relaxation layer lives in [Absolver_relax] (which depends
    on this library), so the search loop sees it only through this record
-   of closures.  A node hands the oracle its ancestor cut chain (one
-   group of linear cuts per surviving ancestor, root first) plus its own
-   box; the oracle syncs a warm LP session to exactly that chain
-   (checkpoint on branch, rollback on backtrack), asserts the node's
-   fresh cuts and decides.  [Rx_prune] means the linear relaxation of
-   the constraint system (slackened by the feasibility tolerance) is
-   empty over the box, so the node can be discarded without HC4, Newton
-   or sampling.  [Rx_continue chain] hands back the extended chain for
-   the node's children; the oracle may also have tightened the box in
-   place (optimization-based bounds tightening).
+   of closures.  A node hands the oracle its depth and box; the oracle
+   encloses every atom over the box, asserts the cuts into a warm LP
+   session and decides.  [Rx_prune] means the linear relaxation of the
+   constraint system (slackened by the feasibility tolerance) is empty
+   over the box, so the node can be discarded without HC4, Newton or
+   sampling.  [Rx_tightened] means the oracle shrank the box in place
+   (octagon bounds or optimization-based bounds tightening);
+   [Rx_unchanged] means the consult neither pruned nor tightened.
 
    Determinism contract: the decision (and any box tightening) must be a
-   function of [path], [depth] and the box only — never of worker
-   identity, arrival order or warm-start state — so that parallel runs
-   explore the same tree at every job count (see DESIGN.md §11, §17). *)
+   function of [depth] and the box only — never of worker identity,
+   arrival order or warm-start state — so that parallel runs explore the
+   same tree at every job count (see DESIGN.md §11, §17). *)
 
-type relax_decision = Rx_prune | Rx_continue of Linexpr.cons list list
+type relax_decision = Rx_prune | Rx_tightened | Rx_unchanged
 
 type relax_oracle = {
-  rx_node :
-    budget:Budget.t ->
-    path:Linexpr.cons list list ->
-    depth:int ->
-    Box.t ->
-    relax_decision;
+  rx_node : budget:Budget.t -> depth:int -> Box.t -> relax_decision;
   rx_cuts : int Atomic.t;
   rx_lp_checks : int Atomic.t;
   rx_pruned : int Atomic.t;
@@ -116,6 +108,17 @@ type relax_oracle = {
   rx_tightened : int Atomic.t;
   rx_obbt : int Atomic.t;
 }
+
+(* Per-path consult schedule.  Nodes at depth <= [relax_obbt_depth]
+   always consult the oracle.  Below it, a consult that neither prunes
+   nor tightens makes its subtree skip the next 1, then 3, then 7, ...
+   levels ([skip] levels still to go, [streak] fruitless consults in a
+   row on this path); a tightening consult resets the schedule.  The
+   state is carried from parent to child in both search modes, so it is
+   a function of the path and the boxes along it only. *)
+type backoff = { skip : int; streak : int }
+
+let no_backoff = { skip = 0; streak = 0 }
 
 let relax_stats relax base =
   match relax with
@@ -185,15 +188,23 @@ let global_prunings = Atomic.make 0
 let total_nodes () = Atomic.get global_nodes
 let total_prunings () = Atomic.get global_prunings
 
-(* Consult the relaxation oracle for one node.  Returns [None] when the
-   node is pruned, [Some chain] (the children's cut chain) otherwise. *)
-let consult_relax relax config ~budget ~path ~depth b =
+(* Consult the relaxation oracle for one node, following its path's
+   backoff.  Returns [None] when the node is pruned, [Some backoff] (the
+   children's schedule) otherwise. *)
+let consult_relax relax config ~budget ~depth backoff b =
   match relax with
-  | Some rx when config.use_relax -> (
-    match rx.rx_node ~budget ~path ~depth b with
-    | Rx_prune -> None
-    | Rx_continue chain -> Some chain)
-  | _ -> Some path
+  | Some rx when config.use_relax ->
+    if depth > config.relax_obbt_depth && backoff.skip > 0 then
+      Some { backoff with skip = backoff.skip - 1 }
+    else begin
+      match rx.rx_node ~budget ~depth b with
+      | Rx_prune -> None
+      | Rx_tightened -> Some no_backoff
+      | Rx_unchanged ->
+        let streak = min (backoff.streak + 1) 30 in
+        Some { skip = (1 lsl streak) - 1; streak }
+    end
+  | _ -> Some backoff
 
 (* Sequential search, the jobs <= 1 path.  This is the original code and
    stays bit-for-bit identical when no oracle is installed: one RNG
@@ -208,12 +219,12 @@ let solve_seq ?(config = default_config) ?(budget = Budget.unlimited) ?relax
       candidate := Some (Array.copy p)
   in
   let rng = Random.State.make [| config.seed |] in
-  let stack = ref [ (Box.copy box, 0, []) ] in
+  let stack = ref [ (Box.copy box, 0, no_backoff) ] in
   let outcome =
     try
       Faults.hit "nlp.branch_prune" budget;
       while !stack <> [] do
-        let b, depth, chain =
+        let b, depth, backoff =
           match !stack with
           | x :: rest ->
             stack := rest;
@@ -226,9 +237,9 @@ let solve_seq ?(config = default_config) ?(budget = Budget.unlimited) ?relax
           raise
             (Done (match !candidate with Some p -> Approx_sat p | None -> Unknown));
         if depth > !max_depth then max_depth := depth;
-        match consult_relax relax config ~budget ~path:chain ~depth b with
+        match consult_relax relax config ~budget ~depth backoff b with
         | None -> incr prunings
-        | Some chain -> (
+        | Some backoff -> (
           let alive =
             if config.use_hc4 then Hc4.contract ~budget b rels
             else not (Box.is_empty b)
@@ -265,8 +276,8 @@ let solve_seq ?(config = default_config) ?(budget = Budget.unlimited) ?relax
                   Box.set b_left v left;
                   Box.set b_right v right;
                   stack :=
-                    (b_left, depth + 1, chain)
-                    :: (b_right, depth + 1, chain)
+                    (b_left, depth + 1, backoff)
+                    :: (b_right, depth + 1, backoff)
                     :: !stack
               end
             end
@@ -307,14 +318,15 @@ module Pool = Absolver_parallel.Pool
    seeded by the item's {e path} — the bit-string of split decisions from
    the root (left = 2p, right = 2p+1, wrapping harmlessly past 62 bits) —
    never by worker identity or arrival order.  The relaxation oracle's
-   decision at a node is likewise a function of the carried cut chain
-   (the same chain the sequential search threads through its stack), so
+   decision at a node is likewise a function of its depth and box, and
+   whether it is consulted at all follows the carried backoff (the same
+   state the sequential search threads through its stack), so
    the set of boxes explored and points sampled is schedule-independent;
    only which certificate is found {e first} can vary, and any
    certificate is sound. *)
 type par_item =
-  | Explore of Box.t * int * int * Linexpr.cons list list
-    (* box, depth, path, relaxation cut chain *)
+  | Explore of Box.t * int * int * backoff
+    (* box, depth, path, relaxation consult schedule *)
   | Sample of Box.t * int * int (* box, count, chunk index *)
 
 (* First-win terminal events: a rigorous certificate, or the shared node
@@ -352,17 +364,17 @@ let solve_par ~(config : config) ~budget ~telemetry ?relax ~jobs ~nvars ~box
         if certified_at rels sp then ctx.finish (Certificate sp)
         else note_candidate sp
       done
-    | Explore (b, depth, path, chain) ->
+    | Explore (b, depth, path, backoff) ->
       let n = Atomic.fetch_and_add nodes 1 + 1 in
       if n > config.max_nodes then ctx.finish Capped
       else begin
         Budget.tick ctx.budget;
         bump_max max_depth depth;
         match
-          consult_relax relax config ~budget:ctx.budget ~path:chain ~depth b
+          consult_relax relax config ~budget:ctx.budget ~depth backoff b
         with
         | None -> Atomic.incr prunings
-        | Some chain ->
+        | Some backoff ->
           let alive =
             if config.use_hc4 then Hc4.contract ~budget:ctx.budget b rels
             else not (Box.is_empty b)
@@ -405,10 +417,14 @@ let solve_par ~(config : config) ~budget ~telemetry ?relax ~jobs ~nvars ~box
                     Box.set b_left v left;
                     Box.set b_right v right;
                     ctx.push
-                      (Explore (b_left, depth + 1, (2 * path) land max_int, chain));
+                      (Explore
+                         (b_left, depth + 1, (2 * path) land max_int, backoff));
                     ctx.push
                       (Explore
-                         (b_right, depth + 1, ((2 * path) + 1) land max_int, chain))
+                         ( b_right,
+                           depth + 1,
+                           ((2 * path) + 1) land max_int,
+                           backoff ))
                 end
               end
             end
@@ -424,7 +440,7 @@ let solve_par ~(config : config) ~budget ~telemetry ?relax ~jobs ~nvars ~box
         let c = min sample_chunk (total - off) in
         chunks (i + 1) (off + c) (Sample (Box.copy box, c, i) :: acc)
     in
-    chunks 0 0 [ Explore (Box.copy box, 0, 1, []) ]
+    chunks 0 0 [ Explore (Box.copy box, 0, 1, no_backoff) ]
   in
   let outcome =
     match Pool.Frontier.run ~budget ~telemetry ~jobs ~init work with

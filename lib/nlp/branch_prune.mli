@@ -39,7 +39,8 @@ type config = {
   relax_octagon : bool;
       (** try the octagon middle tier before the full LP check *)
   relax_obbt_depth : int;
-      (** optimization-based bounds tightening runs at depths [<=] this
+      (** optimization-based bounds tightening runs at depths [<=] this,
+          and every node that shallow consults the relaxation oracle
           (a depth gate rather than a running count, so the decision is a
           function of the node alone and parallel runs stay
           schedule-independent) *)
@@ -80,32 +81,29 @@ val total_prunings : unit -> int
 
     The linear-relaxation layer ([Absolver_relax]) depends on this
     library, so the search loop sees it through this record of closures.
-    [rx_node] is called once per node {e before} HC4/Newton with the
-    node's ancestor cut chain (one group of linear cuts per surviving
-    ancestor, root group first — exactly the rows a path-scoped LP
-    session holds when the search sits at this node), its depth, and its
-    box. [Rx_prune] discards the node outright; [Rx_continue chain]
-    returns the extended chain for the node's children, possibly after
-    tightening the box in place.
+    [rx_node] is called {e before} HC4/Newton with the node's depth and
+    box. [Rx_prune] discards the node outright; [Rx_tightened] reports
+    that the oracle shrank the box in place; [Rx_unchanged] that the
+    consult neither pruned nor tightened.
+
+    Nodes at depth [<= config.relax_obbt_depth] always consult the
+    oracle.  Deeper nodes follow a per-path exponential backoff: an
+    [Rx_unchanged] consult makes its subtree skip the next 1, then 3,
+    then 7, ... levels, and an [Rx_tightened] consult resets the
+    schedule.  The schedule rides with each node from parent to child.
 
     Contract: the decision and any box mutation must be a function of
-    [path], [depth] and the box only (never of scheduling or warm-start
-    state), and must be {e sound}: a pruned box contains no point that
-    satisfies every relation within the configured tolerance. Counters
-    are atomics because parallel workers bump them concurrently; an
-    oracle instance is meant to serve a single {!solve} call. *)
+    [depth] and the box only (never of scheduling or warm-start state),
+    and must be {e sound}: a pruned box contains no point that satisfies
+    every relation within the configured tolerance. Counters are atomics
+    because parallel workers bump them concurrently; an oracle instance
+    is meant to serve a single {!solve} call. *)
 
-type relax_decision =
-  | Rx_prune
-  | Rx_continue of Absolver_lp.Linexpr.cons list list
+type relax_decision = Rx_prune | Rx_tightened | Rx_unchanged
 
 type relax_oracle = {
   rx_node :
-    budget:Absolver_resource.Budget.t ->
-    path:Absolver_lp.Linexpr.cons list list ->
-    depth:int ->
-    Box.t ->
-    relax_decision;
+    budget:Absolver_resource.Budget.t -> depth:int -> Box.t -> relax_decision;
   rx_cuts : int Atomic.t;
   rx_lp_checks : int Atomic.t;
   rx_pruned : int Atomic.t;
@@ -139,9 +137,10 @@ val solve :
     exception; the typed reason stays sticky in the budget
     ({!Absolver_resource.Budget.tripped}).
 
-    [relax] installs a linear-relaxation oracle consulted at every node
-    before contraction (gated by [config.use_relax]); pass a fresh oracle
-    per call — its counters are reported in the returned {!stats}.
+    [relax] installs a linear-relaxation oracle consulted before
+    contraction on the backoff schedule above (gated by
+    [config.use_relax]); pass a fresh oracle per call — its counters are
+    reported in the returned {!stats}.
 
     [jobs] (default 1) sets the number of worker domains. [jobs <= 1]
     runs the historical sequential search (bit-for-bit identical to
@@ -151,8 +150,8 @@ val solve :
     boxes concurrently, the root multistart sampling is spread over the
     pool in chunks, and the first rigorous certificate cancels everyone
     else through forked budgets.  Every random draw is seeded by the
-    node's split path and every relaxation decision by the node's carried
-    cut chain, so the explored tree is schedule-independent:
+    node's split path and every relaxation decision by the node's box and
+    carried backoff, so the explored tree is schedule-independent:
     [Sat]/[Unsat] verdicts agree at every job count (witness points and
     [Approx_sat]/[Unknown] under a tripped cap may differ, since they
     depend on which worker reports first).  [Unsat] is only reported when

@@ -286,6 +286,44 @@ let pow t e =
   else if is_zero t then raise Division_by_zero
   else go one (inv t) (-e)
 
+(* Directed rounding to [m * 2^e] with [|m| < 2^bits].  For q > 0 with
+   k = bits(num) - bits(den) we have 2^(k-1) < q < 2^(k+1), so scaling
+   by 2^(bits-k) puts q in (2^(bits-1), 2^(bits+1)) and at most one
+   extra halving brings the integer part below 2^bits; the remainder
+   decides the upward step.  Short small dyadics (power-of-two
+   denominator, odd part below 2^bits) are returned as is, which keeps
+   the common case allocation-free. *)
+let short_small ~bits n d =
+  d land (d - 1) = 0
+  &&
+  let rec odd n = if n land 1 = 0 then odd (n asr 1) else n in
+  Stdlib.abs (odd n) < 1 lsl bits
+
+let round_dyadic dir ~bits q =
+  let round_pos up num den =
+    let k = B.num_bits num - B.num_bits den in
+    let split e =
+      if e <= 0 then B.divmod (B.shift_left num (-e)) den
+      else B.divmod num (B.shift_left den e)
+    in
+    let e = k - bits in
+    let e, (m, r) =
+      let ((m, _) as mr) = split e in
+      if B.num_bits m > bits then (e + 1, split (e + 1)) else (e, mr)
+    in
+    let m = if up && not (B.is_zero r) then B.succ m else m in
+    if e >= 0 then of_bigint (B.shift_left m e)
+    else normalize_big m (B.shift_left B.one (-e))
+  in
+  match q with
+  | S { n = 0; _ } -> q
+  | S { n; d } when short_small ~bits n d -> q
+  | _ ->
+    let num, den = to_big q in
+    let up = match dir with `Up -> true | `Down -> false in
+    if B.sign num > 0 then round_pos up num den
+    else neg (round_pos (not up) (B.neg num) den)
+
 (* ------------------------------------------------------------------ *)
 (* Conversions.                                                        *)
 

@@ -77,3 +77,11 @@ val ceil : t -> Bigint.t
 val pow : t -> int -> t
 (** Integer exponent; negative exponents invert.
     @raise Division_by_zero when raising zero to a negative power. *)
+
+val round_dyadic : [ `Down | `Up ] -> bits:int -> t -> t
+(** [round_dyadic dir ~bits q] is the dyadic [m * 2^e] with
+    [|m| < 2^bits] nearest to [q] on the requested side: [`Down] gives
+    the greatest such value [<= q], [`Up] the least [>= q].  Values that
+    are already such dyadics come back unchanged.  Used to keep derived
+    constants short (small numerators and power-of-two denominators)
+    where weakening them outward is sound.  [bits] must be positive. *)

@@ -4,10 +4,10 @@
    enclosure — McCormick envelopes for products/quotients/powers,
    convexity-aware secant and tangent chords for the unary operators,
    centered forms where the curvature is mixed — and the resulting cut
-   rows are asserted into a warm [Incremental] LP session scoped to the
-   search path (checkpoint on branch, rollback on backtrack).  LP
-   infeasible => the node is pruned before HC4/Newton run; LP feasible =>
-   the optimum tightens the k most influential variable bounds (OBBT).
+   rows are asserted into a warm [Incremental] LP session as one scope
+   per consulted node.  LP infeasible => the node is pruned before
+   HC4/Newton run; LP feasible => the optimum tightens the k most
+   influential variable bounds (OBBT).
    An octagon middle tier screens the +-x +- y <= c subset of the cuts
    before any pivot runs.
 
@@ -23,11 +23,18 @@
      never flips an [Approx_sat]/[Unsat] verdict against the
      relaxation-off search.
 
-   Determinism: the per-node decision is a function of the node's cut
-   chain, depth and box only.  Both search modes drive the same code —
-   the sequential stack and the parallel frontier each carry the chain —
-   and the simplex is complete, so warm-start differences can never
-   change a verdict (only pivot counts). *)
+   Cost: every cut and bound constant is rounded outward to a dyadic with
+   [const_bits] significant bits, so the exact arithmetic downstream
+   (enclosure composition, octagon closure, pivots) stays on the
+   small-integer rational path; and branch-and-prune consults the oracle
+   on a per-path backoff (see [Branch_prune.consult_relax]), so deep
+   subtrees where the relaxation neither prunes nor tightens stop paying
+   for it.
+
+   Determinism: the per-node decision is a function of the node's depth
+   and box only.  Both search modes drive the same code, and the simplex
+   is complete, so warm-start differences can never change a verdict
+   (only pivot counts). *)
 
 module Q = Absolver_numeric.Rational
 module I = Absolver_numeric.Interval
@@ -42,6 +49,18 @@ module Telemetry = Absolver_telemetry.Telemetry
 
 let finite = Float.is_finite
 let q_exact f = Q.of_float f (* exact: every finite float is dyadic *)
+
+(* Cut constants are rounded outward to dyadics with this many
+   significant bits.  Raw float-derived constants (box ends, enclosure
+   endpoints, the tolerance) are 53-bit dyadics with wide exponents whose
+   sums overflow the native-int rationals into [Bigint]; 24 bits keep
+   them short.  Rounding a constant outward only weakens its row, so
+   every rounded cut stays implied by the atom it came from. *)
+let const_bits = 24
+
+let round_out dir q = Q.round_dyadic dir ~bits:const_bits q
+let q_down f = round_out `Down (q_exact f)
+let q_up f = round_out `Up (q_exact f)
 
 (* ------------------------------------------------------------------ *)
 (* Directed dyadic quantization                                        *)
@@ -94,15 +113,15 @@ let const_enc q =
    interval range as a constant bound (interval linearization: freeze
    every variable at its range). *)
 let with_range_fallback e =
-  let side sel v =
+  let side sel round v =
     match sel with
     | Some _ as s -> s
-    | None -> if finite v then Some (Linexpr.constant (q_exact v)) else None
+    | None -> if finite v then Some (Linexpr.constant (round v)) else None
   in
   {
     e with
-    enc_lo = side e.enc_lo e.enc_rng.I.lo;
-    enc_hi = side e.enc_hi e.enc_rng.I.hi;
+    enc_lo = side e.enc_lo q_down e.enc_rng.I.lo;
+    enc_hi = side e.enc_hi q_up e.enc_rng.I.hi;
   }
 
 let neg_enc e =
@@ -129,10 +148,13 @@ let scale_enc q e =
   else { enc_lo = sc e.enc_hi; enc_hi = sc e.enc_lo; enc_rng = rng }
 
 (* Sound bound of [sum_i c_i * e_i + k] composed through sub-enclosures:
-   each term picks the side matching the sign of its coefficient. *)
+   each term picks the side matching the sign of its coefficient.  The
+   constant is rounded outward (up for an upper bound, down for a lower
+   one), which only loosens the bound. *)
 let comb ~upper terms k =
+  let dir = if upper then `Up else `Down in
   let rec go acc = function
-    | [] -> Some acc
+    | [] -> Some (Linexpr.set_const acc (round_out dir (Linexpr.const acc)))
     | (c, e) :: rest -> (
       let side = if Q.sign c >= 0 <> upper then e.enc_lo else e.enc_hi in
       match side with
@@ -378,6 +400,19 @@ let normalize_cons (c : Linexpr.cons) =
       in
       { c with expr = Linexpr.neg expr; op }
 
+(* Round the constant of a normalized row outward: [L + k <= 0] is
+   loosened by lowering k, [L + k >= 0] by raising it.  Equalities are
+   left alone (no rounding loosens them); [atom_cuts] never makes one. *)
+let round_row (c : Linexpr.cons) =
+  let k = Linexpr.const c.expr in
+  let k' =
+    match c.op with
+    | Linexpr.Le | Linexpr.Lt -> round_out `Down k
+    | Linexpr.Ge | Linexpr.Gt -> round_out `Up k
+    | Linexpr.Eq -> k
+  in
+  if k' == k then c else { c with expr = Linexpr.set_const c.expr k' }
+
 (* Slacken a linear lower/upper enclosure of an atom [e op 0] by the
    feasibility tolerance: a tolerance-feasible point has e(x) <= tol
    (Le/Lt), e(x) >= -tol (Ge/Gt) or |e(x)| <= tol (Eq), and the
@@ -385,19 +420,21 @@ let normalize_cons (c : Linexpr.cons) =
    relations are relaxed to their closed forms — weaker, hence sound. *)
 let atom_cuts ~slack (op : Linexpr.op) ~tag lo hi =
   let mk_le le =
-    normalize_cons
-      {
-        Linexpr.expr = Linexpr.set_const le (Q.sub (Linexpr.const le) slack);
-        op = Linexpr.Le;
-        tag;
-      }
+    round_row
+      (normalize_cons
+         {
+           Linexpr.expr = Linexpr.set_const le (Q.sub (Linexpr.const le) slack);
+           op = Linexpr.Le;
+           tag;
+         })
   and mk_ge le =
-    normalize_cons
-      {
-        Linexpr.expr = Linexpr.set_const le (Q.add (Linexpr.const le) slack);
-        op = Linexpr.Ge;
-        tag;
-      }
+    round_row
+      (normalize_cons
+         {
+           Linexpr.expr = Linexpr.set_const le (Q.add (Linexpr.const le) slack);
+           op = Linexpr.Ge;
+           tag;
+         })
   in
   match op with
   | Linexpr.Le | Linexpr.Lt ->
@@ -409,7 +446,8 @@ let atom_cuts ~slack (op : Linexpr.op) ~tag lo hi =
 
 (* Box bounds as rows, so the LP sees the node's domain.  Bound rows are
    1*x expressions: [Simplex.define] maps them to the variable itself,
-   so they never grow the tableau. *)
+   so they never grow the tableau.  The ends are rounded outward to
+   short dyadics like every other cut constant. *)
 let bound_cuts vars box =
   List.concat_map
     (fun v ->
@@ -417,7 +455,7 @@ let bound_cuts vars box =
       (if finite iv.I.lo then
          [
            {
-             Linexpr.expr = Linexpr.of_list [ (Q.one, v) ] (Q.neg (q_exact iv.I.lo));
+             Linexpr.expr = Linexpr.of_list [ (Q.one, v) ] (Q.neg (q_down iv.I.lo));
              op = Linexpr.Ge;
              tag = bounds_tag;
            };
@@ -427,7 +465,7 @@ let bound_cuts vars box =
       if finite iv.I.hi then
         [
           {
-            Linexpr.expr = Linexpr.of_list [ (Q.one, v) ] (Q.neg (q_exact iv.I.hi));
+            Linexpr.expr = Linexpr.of_list [ (Q.one, v) ] (Q.neg (q_up iv.I.hi));
             op = Linexpr.Le;
             tag = bounds_tag;
           };
@@ -581,9 +619,9 @@ let octagon_step box cuts =
       (fun v ->
         let i = Hashtbl.find index v in
         let iv = Box.get box v in
-        if finite iv.I.hi then Octagon.add1 oct i ~pos:true (q_exact iv.I.hi);
+        if finite iv.I.hi then Octagon.add1 oct i ~pos:true (q_up iv.I.hi);
         if finite iv.I.lo then
-          Octagon.add1 oct i ~pos:false (Q.neg (q_exact iv.I.lo)))
+          Octagon.add1 oct i ~pos:false (Q.neg (q_down iv.I.lo)))
       vars;
     if not (Octagon.close oct) then `Prune
     else begin
@@ -610,7 +648,6 @@ let octagon_step box cuts =
 
 type state = {
   mutable sess : Incremental.t;
-  mutable groups : Linexpr.cons list list; (* asserted chain, root first *)
   mutable asserted_total : int; (* scope_asserts since session creation *)
   atom_cache : (I.t array * Linexpr.cons list) option array;
       (* per nonlinear atom: variable intervals + cuts of the last
@@ -627,9 +664,9 @@ let fresh_session () =
 
 let oracle ?(telemetry = Telemetry.disabled) ~(config : BP.config) ~nvars:_ rels
     =
-  let slack = Q.of_float config.tol in
+  let slack = q_up config.tol in
   (* Static per-atom preparation: linear atoms produce box-independent
-     cuts once (asserted with the root group); nonlinear atoms are
+     cuts once (asserted at the root node); nonlinear atoms are
      re-enclosed per node. *)
   let atoms =
     List.map
@@ -683,7 +720,6 @@ let oracle ?(telemetry = Telemetry.disabled) ~(config : BP.config) ~nvars:_ rels
           let s =
             {
               sess = fresh_session ();
-              groups = [];
               asserted_total = 0;
               atom_cache = Array.make (Array.length atom_arr) None;
             }
@@ -716,7 +752,7 @@ let oracle ?(telemetry = Telemetry.disabled) ~(config : BP.config) ~nvars:_ rels
       | x :: r -> if n <= 0 then [] else x :: take (n - 1) r
     in
     let chosen = take config.relax_obbt_vars sorted in
-    let empty = ref false in
+    let empty = ref false and tightened = ref false in
     List.iter
       (fun (v, w) ->
         if (not !empty) && w > 0.0 then begin
@@ -739,20 +775,17 @@ let oracle ?(telemetry = Telemetry.disabled) ~(config : BP.config) ~nvars:_ rels
             if I.is_empty niv then empty := true
             else if not (I.equal niv iv) then begin
               Box.set box v niv;
+              tightened := true;
               Atomic.incr rx_tightened
             end
           end
         end)
       chosen;
-    if !empty then `Empty else `Done
+    if !empty then `Empty else `Done !tightened
   in
-  (* Sync the worker's session to [path @ [cuts]]: pop scopes down to the
-     longest common group prefix (physical equality — groups are shared
-     up the tree), then assert the missing groups, one scope each. *)
-  let lp_node st ~budget ~depth ~path ~cuts box =
-    let target = path @ [ cuts ] in
-    (* The session holds ONE scope: the current node's group.  Ancestor
-       groups are pointwise dominated inside the child box (envelopes are
+  let lp_node st ~budget ~depth ~cuts box =
+    (* The session holds ONE scope: the current node's cuts.  Ancestor
+       cuts are pointwise dominated inside the child box (envelopes are
        inclusion-monotone: a secant, tangent or McCormick facet computed
        on a sub-box is at least as tight at every point of it), so
        re-asserting them would only pin stale-slope rows in the tableau.
@@ -765,20 +798,17 @@ let oracle ?(telemetry = Telemetry.disabled) ~(config : BP.config) ~nvars:_ rels
        but never shrinks the tableau — and every dead row keeps sitting in
        the occurrence lists its columns index, so pivot and bound updates
        slow down linearly with garbage.  As soon as the session carries
-       any row beyond the live group, drop it and start fresh
-       (re-asserting nothing but the current group, which this node
-       asserts anyway; measured on the steering model this beats every
-       laxer threshold).  Verdicts are unaffected (the exact check is
+       any row beyond the live scope, drop it and start fresh
+       (measured on the steering model this beats every laxer
+       threshold).  Verdicts are unaffected (the exact check is
        complete), only warm-start cost. *)
     let live = List.length cuts in
     if st.asserted_total - live > 0 then begin
       st.sess <- fresh_session ();
-      st.groups <- [];
       st.asserted_total <- 0
     end;
     Incremental.set_budget st.sess budget;
-    List.iter (fun _ -> Incremental.scope_pop st.sess) st.groups;
-    st.groups <- [ cuts ];
+    if Incremental.open_scopes st.sess > 0 then Incremental.scope_pop st.sess;
     Incremental.scope_push st.sess;
     let conflict = ref false in
     List.iter
@@ -799,12 +829,13 @@ let oracle ?(telemetry = Telemetry.disabled) ~(config : BP.config) ~nvars:_ rels
       then
         match obbt st box with
         | `Empty -> prune ~oct:false
-        | `Done -> BP.Rx_continue target
-      else BP.Rx_continue target
+        | `Done true -> BP.Rx_tightened
+        | `Done false -> BP.Rx_unchanged
+      else BP.Rx_unchanged
     end
   in
-  let rx_node ~budget ~path ~depth box =
-    if Atomic.get disabled || Box.is_empty box then BP.Rx_continue path
+  let rx_node ~budget ~depth box =
+    if Atomic.get disabled || Box.is_empty box then BP.Rx_unchanged
     else begin
       let st = state_for () in
       let ctx = ctx_of_box box in
@@ -857,16 +888,17 @@ let oracle ?(telemetry = Telemetry.disabled) ~(config : BP.config) ~nvars:_ rels
           if nt > 0 then
             ignore (Atomic.fetch_and_add rx_tightened nt);
           let t0 = Telemetry.Clock.now () in
-          match lp_node st ~budget ~depth ~path ~cuts box with
+          match lp_node st ~budget ~depth ~cuts box with
           | decision ->
             Telemetry.observe telemetry "bp.relax.lp_time"
               (Telemetry.Clock.now () -. t0);
-            decision
+            if nt > 0 && decision = BP.Rx_unchanged then BP.Rx_tightened
+            else decision
           | exception Budget.Exhausted _ ->
             Atomic.set disabled true;
             Telemetry.observe telemetry "bp.relax.lp_time"
               (Telemetry.Clock.now () -. t0);
-            BP.Rx_continue path))
+            BP.Rx_unchanged))
     end
   in
   {

@@ -6,21 +6,24 @@
     unary operators ([exp], [log], [sqrt]), centered forms where the
     curvature is mixed, and range splitting through bisection for
     [sin]/[cos] — and turns them into cut rows for a warm
-    {!Absolver_lp.Incremental} session scoped to the search path.
+    {!Absolver_lp.Incremental} session, one scope per consulted node.
 
     The {!oracle} packages the whole pipeline behind
-    {!Absolver_nlp.Branch_prune.relax_oracle}: per node it screens
-    constant cuts, runs the octagon middle tier, syncs the LP to the
-    node's cut chain (checkpoint on branch, rollback on backtrack via
-    the common-prefix delta), prunes on infeasibility and tightens
-    bounds by OBBT near the root.
+    {!Absolver_nlp.Branch_prune.relax_oracle}: per consulted node it
+    screens constant cuts, runs the octagon middle tier, asserts the
+    node's cuts as the session's single open scope, prunes on
+    infeasibility and tightens bounds by OBBT near the root.  Every cut
+    constant is rounded outward to a short dyadic
+    ({!Absolver_numeric.Rational.round_dyadic}, 24 significant bits), so
+    the exact arithmetic stays on native-int rationals.
 
     Soundness contract: every cut is implied by tolerance-feasibility of
     the original atom set inside the box (cuts are slackened by
     [config.tol], all constants derive from outward-rounded interval
-    arithmetic or exact dyadic float conversion).  A pruned box
+    arithmetic or exact dyadic float conversion, then are rounded
+    outward again).  A pruned box
     therefore contains no point the unrelaxed search could accept.
-    Decisions are a function of the node's path, depth and box only, so
+    Decisions are a function of the node's depth and box only, so
     sequential and parallel searches prune the same tree. *)
 
 module Q = Absolver_numeric.Rational

@@ -400,7 +400,36 @@ let test_differential_jobs4 () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* The engine option and stats plumbing.                               *)
+(* Oracle backoff: the consult schedule rides with each node, so the   *)
+(* search tree and every relaxation counter are identical at jobs 1    *)
+(* and 4, and below [relax_obbt_depth] fruitless consults thin out.    *)
+
+let parse text =
+  match A.Dimacs_ext.parse_string text with
+  | Ok p -> p
+  | Error e -> failwith e
+
+(* The problem's full constraint conjunction over its declared bounds,
+   as branch-and-prune sees it. *)
+let bp_instance text =
+  let p = parse text in
+  let n = A.Ab_problem.num_arith_vars p in
+  let box = Box.create n in
+  List.iter
+    (fun (v, (lo, hi)) ->
+      let f = function Some q -> Q.to_float q | None -> 0.0 in
+      box.(v) <- I.make (f lo) (f hi))
+    (A.Ab_problem.bounds p);
+  let rels =
+    List.map (fun (d : A.Ab_problem.def) -> d.rel) (A.Ab_problem.defs p)
+  in
+  (n, box, rels)
+
+let bp_relax_solve ~jobs text =
+  let nvars, box, rels = bp_instance text in
+  let config = BP.default_config in
+  let relax = Relax.oracle ~config ~nvars rels in
+  BP.solve ~config ~jobs ~relax ~nvars ~box rels
 
 let steering_text =
   {|p cnf 1 1
@@ -411,12 +440,159 @@ c bound x -2 2
 c bound y -2 2
 |}
 
-let test_relax_counters_surface () =
-  let p =
-    match A.Dimacs_ext.parse_string steering_text with
-    | Ok p -> p
-    | Error e -> failwith e
+(* The disc against a line just outside it (max x + y = sqrt 2 =
+   1.41421...): the refutation has to shave a thin sliver, so the tree
+   runs far deeper than [relax_obbt_depth]. *)
+let near_miss_text =
+  {|p cnf 1 1
+1 0
+c def real 1 x * x + y * y <= 1
+c def real 1 x + y >= 1.4143
+c bound x -2 2
+c bound y -2 2
+|}
+
+let sphere_cap_text =
+  {|p cnf 1 1
+1 0
+c def real 1 x * x + y * y + z * z <= 1
+c def real 1 x + y + z >= 2
+c bound x -2 2
+c bound y -2 2
+c bound z -2 2
+|}
+
+let test_backoff_parity () =
+  let parity name text =
+    let o1, s1 = bp_relax_solve ~jobs:1 text
+    and o4, s4 = bp_relax_solve ~jobs:4 text in
+    check bool_t (name ^ ": unsat at jobs 1") true (o1 = BP.Unsat);
+    check bool_t (name ^ ": unsat at jobs 4") true (o4 = BP.Unsat);
+    check int_t (name ^ ": nodes") s1.BP.nodes s4.BP.nodes;
+    check int_t (name ^ ": lp checks") s1.BP.relax_lp_checks
+      s4.BP.relax_lp_checks;
+    check int_t (name ^ ": pruned") s1.BP.relax_pruned s4.BP.relax_pruned;
+    check int_t (name ^ ": tightened") s1.BP.relax_tightened
+      s4.BP.relax_tightened;
+    s1
   in
+  ignore (parity "disc/line" steering_text);
+  let deep = parity "near miss" near_miss_text in
+  check bool_t "near miss goes below the consult depth" true
+    (deep.BP.max_depth > BP.default_config.BP.relax_obbt_depth);
+  check bool_t
+    (Printf.sprintf "%d lp checks < %d nodes" deep.BP.relax_lp_checks
+       deep.BP.nodes)
+    true
+    (deep.BP.relax_lp_checks < deep.BP.nodes)
+
+let test_relax_still_prunes () =
+  let o, s = bp_relax_solve ~jobs:1 sphere_cap_text in
+  check bool_t "sphere cap unsat" true (o = BP.Unsat);
+  check bool_t "relaxation prunes" true (s.BP.relax_pruned > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Outward rounding of cut constants to short dyadics.                 *)
+
+module B = Absolver_numeric.Bigint
+
+(* Significant bits of a dyadic (odd part of the numerator); fails the
+   test if the denominator is not a power of two. *)
+let dyadic_bits q =
+  let den = Q.den q in
+  if not (B.equal den (B.shift_left B.one (B.num_bits den - 1))) then
+    Alcotest.failf "%s is not dyadic" (Q.to_string q);
+  let rec odd n =
+    if B.is_zero n || not (B.is_even n) then n else odd (B.div n B.two)
+  in
+  B.num_bits (odd (B.abs (Q.num q)))
+
+let bits = 24
+
+let check_rounding q =
+  let lo = Q.round_dyadic `Down ~bits q and hi = Q.round_dyadic `Up ~bits q in
+  let show = Q.to_string q in
+  if Q.compare lo q > 0 then Alcotest.failf "Down above %s" show;
+  if Q.compare hi q < 0 then Alcotest.failf "Up below %s" show;
+  if dyadic_bits lo > bits || dyadic_bits hi > bits then
+    Alcotest.failf "rounding of %s is longer than %d bits" show bits;
+  (* Nearest on each side: the two results are at most one step of the
+     24-bit grid apart, and a step is at most |q| * 2^-23. *)
+  if
+    Q.compare (Q.sub hi lo)
+      (Q.mul (Q.abs q) (Q.make B.one (B.shift_left B.one (bits - 1))))
+    > 0
+  then Alcotest.failf "rounding of %s is not the nearest" show
+
+let test_round_dyadic () =
+  let st = Random.State.make [| 0x5eed; 24 |] in
+  let big_int () =
+    (* up to ~150-bit integers, built from random 30-bit limbs *)
+    let limbs = 1 + Random.State.int st 5 in
+    let rec go acc k =
+      if k = 0 then acc
+      else
+        go
+          (B.add (B.shift_left acc 30) (B.of_int (Random.State.bits st)))
+          (k - 1)
+    in
+    B.add (go B.zero limbs) B.one
+  in
+  let scales =
+    [
+      Q.one; Q.of_float 1e-300; Q.of_float 1e300; Q.of_ints 1 3; Q.of_float 1e-7;
+    ]
+  in
+  for _ = 1 to 400 do
+    let q = Q.make (big_int ()) (big_int ()) in
+    let q = if Random.State.bool st then Q.neg q else q in
+    let scale = List.nth scales (Random.State.int st (List.length scales)) in
+    check_rounding (Q.mul q scale)
+  done;
+  (* Small machine-word values and the float constants cuts are made
+     from. *)
+  for _ = 1 to 400 do
+    check_rounding
+      (Q.of_ints
+         (Random.State.int st 2_000_001 - 1_000_000)
+         (1 + Random.State.int st 999_983));
+    check_rounding (Q.of_float (Random.State.float st 200.0 -. 100.0));
+    (* dyadics just longer than the target: 25- to 30-bit odd parts *)
+    check_rounding
+      (Q.of_ints
+         ((1 lsl (24 + Random.State.int st 6)) lor 1)
+         (1 lsl Random.State.int st 40))
+  done;
+  (* Already-short dyadics come back unchanged, on both sides. *)
+  List.iter
+    (fun q ->
+      check bool_t ("unchanged Down " ^ Q.to_string q) true
+        (Q.equal (Q.round_dyadic `Down ~bits q) q);
+      check bool_t ("unchanged Up " ^ Q.to_string q) true
+        (Q.equal (Q.round_dyadic `Up ~bits q) q))
+    [
+      Q.zero;
+      Q.of_int 5;
+      Q.of_int (-(1 lsl 40));
+      Q.of_ints 3 1024;
+      Q.of_ints (-((1 lsl 24) - 1)) 8;
+      Q.of_float 0.1 |> Q.round_dyadic `Up ~bits;
+      Q.make B.one (B.shift_left B.one 1000);
+    ];
+  (* 1 + 2^-30 needs 31 bits: it rounds to 1 and 1 + 2^-23. *)
+  let q = Q.add Q.one (Q.make B.one (B.shift_left B.one 30)) in
+  let step_up = Q.add Q.one (Q.of_ints 1 (1 lsl 23)) in
+  check bool_t "1 + 2^-30 down" true
+    (Q.equal (Q.round_dyadic `Down ~bits q) Q.one);
+  check bool_t "1 + 2^-30 up" true (Q.equal (Q.round_dyadic `Up ~bits q) step_up);
+  check bool_t "-(1 + 2^-30) down" true
+    (Q.equal (Q.round_dyadic `Down ~bits (Q.neg q)) (Q.neg step_up))
+
+(* ------------------------------------------------------------------ *)
+(* The engine option and stats plumbing.                               *)
+
+let test_relax_counters_surface () =
+  let p = parse steering_text in
   let r_on, st_on =
     A.Engine.solve
       ~options:{ A.Engine.default_options with A.Engine.use_bp_relaxation = true }
@@ -458,4 +634,10 @@ let suite =
       test_differential_jobs4;
     Alcotest.test_case "relaxation counters surface in run_stats" `Quick
       test_relax_counters_surface;
+    Alcotest.test_case "oracle backoff: same tree at jobs 1 and 4" `Quick
+      test_backoff_parity;
+    Alcotest.test_case "relaxation still prunes the sphere cap" `Quick
+      test_relax_still_prunes;
+    Alcotest.test_case "outward rounding to short dyadics" `Quick
+      test_round_dyadic;
   ]
